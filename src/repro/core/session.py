@@ -1052,7 +1052,7 @@ class Plan:
                 self.program, self.function, config.backend, buffers.specs,
                 list(scalars), config.timeout, config.threads_per_rank,
                 config.codegen if self._codegen_active else "planned",
-                trace=config.trace,
+                trace=config.trace, overlap=self.overlap,
             )
         except _process_runtime.WorkerError:
             self.session.metrics.inc("worker.errors")
@@ -1069,9 +1069,12 @@ class Plan:
         """Rank statistics + merged comm (with elision accounting) from reports.
 
         Shared by :meth:`_run_processes` and the serving layer's process-world
-        batched dispatch so both account identically.
+        batched dispatch so both account identically — megakernel engagement
+        included, counted from the workers' reports as the thread world
+        counts it from its rank bodies.
         """
         ordered = sort_rank_stats(reports)
+        self._ingest_engagement([report.engaged for report in ordered])
         statistics = [report.exec_stats for report in ordered]
         comm = merge_comm_statistics([report.comm_stats for report in ordered])
         # Copy-elision accounting: scatter wrote straight into (and gather

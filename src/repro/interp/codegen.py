@@ -21,7 +21,10 @@ The discipline mirrors the interpreter exactly:
   the same per-(op, rank) plan the swap handler executes;
 * every statistics counter is *statically hoisted*: the emitted function adds
   ``pre + trips * per_iteration`` to each field up front, reproducing the
-  planned-op path's counts bit-for-bit.
+  planned-op path's counts bit-for-bit;
+* arrays are register-allocated: full-box values of known dtype live in
+  scratch buffers allocated once per call and reused by liveness, written
+  through ufunc outputs, so a time step allocates no NumPy temporaries.
 
 Anything the tracer cannot prove — data-dependent control flow, runtime-
 dependent nest geometry, reductions, aliased buffers, untraceable ops — is
@@ -36,6 +39,7 @@ Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 from typing import Any, Optional
@@ -48,10 +52,13 @@ from ..ir.core import Operation, SSAValue
 from ..ir.types import IntegerType
 from .interpreter import swap_message_plan
 from .vectorize import (
+    BINARY_UFUNCS,
+    UNARY_UFUNCS,
     CompiledKernel,
     CompiledNest,
     _Bailout,
     binary_expression,
+    ufunc_call,
     unary_expression,
     widen_expression,
 )
@@ -520,10 +527,12 @@ class CompiledMegakernel:
     run to the planned-op path when the guard fails.
     """
 
-    __slots__ = ("label", "source", "signature", "array_indices", "traced", "_fn")
+    __slots__ = ("label", "source", "signature", "array_indices", "traced",
+                 "scratch_bytes", "_fn")
 
     def __init__(self, label: str, source: str, signature: tuple,
-                 array_indices: tuple, namespace: dict, traced: bool = False):
+                 array_indices: tuple, namespace: dict, traced: bool = False,
+                 scratch_bytes: int = 0):
         self.label = label
         self.source = source
         self.signature = signature
@@ -532,6 +541,8 @@ class CompiledMegakernel:
         #: untraced kernels are separate cache entries; the untraced source is
         #: statement-identical to a build without observability at all.
         self.traced = traced
+        #: Scratch bytes each call allocates up front; no step allocates more.
+        self.scratch_bytes = scratch_bytes
         code = compile(source, f"<megakernel:{label}>", "exec")
         exec(code, namespace)
         self._fn = namespace["_megakernel"]
@@ -584,8 +595,6 @@ def megakernel_signature(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _perm_order(perm: list[int]) -> int:
-    import math
-
     order = 1
     seen: set[int] = set()
     for start in range(len(perm)):
@@ -612,6 +621,102 @@ def _slice_src(slices) -> str:
 
 def _slice_key(slices) -> tuple:
     return tuple((piece.start, piece.stop, piece.step) for piece in slices)
+
+
+def _last_uses(instrs) -> dict:
+    """Position of each nest value's last read; store reads count at the end.
+
+    A store's commit is deferred past the last instruction (and a prepared
+    value may still view its source), so the value it stores must stay
+    intact until the end of the box.
+    """
+    end = len(instrs)
+    last: dict[SSAValue, int] = {}
+    for position, instr in enumerate(instrs):
+        for value in _operand_values(instr):
+            last[value] = end if instr[0] == "store" else position
+    return last
+
+
+def _operand_values(instr) -> list:
+    """The nest values (``("arr", v)`` refs) an instruction reads."""
+    kind = instr[0]
+    if kind == "store":
+        refs = (instr[1],)
+    elif kind == "binary":
+        refs = (instr[3], instr[4])
+    elif kind == "unary":
+        refs = (instr[3],)
+    elif kind == "select":
+        refs = instr[2:5]
+    else:
+        refs = ()
+    return [ref[1] for ref in refs if ref[0] == "arr"]
+
+
+class _BoxScratch:
+    """Liveness-driven register allocation of one box's full-box values.
+
+    A register is one scratch buffer of the box's shape and one dtype.  It
+    is busy while any live value may reference it: the value computed into
+    it, and conservatively every value an allocating statement derived from
+    it (``_np.asarray`` of a float64 array, a context callable, ...), since
+    such a result may alias its operand.  A register is handed out again
+    only once all of those are dead, so no live value is ever overwritten.
+    Only registers are ever chosen as outputs — never field views.
+    """
+
+    def __init__(self, last_use: dict):
+        self.last_use = last_use
+        self.holders: dict[tuple, set] = {}
+        self.refs: dict[SSAValue, set] = {}
+
+    def output(self, dtype: np.dtype, operands: list, position: int) -> tuple:
+        """A free register for a result at ``position``, in place if possible.
+
+        A register whose every holder dies at this instruction is free for
+        the result: the ufunc reads each element before writing it.
+        """
+        dying = {value for value in operands
+                 if self.last_use.get(value) == position}
+        for value in operands:
+            for key in self.refs.get(value, ()):
+                if key[0] == dtype.str and self.holders[key] <= dying:
+                    return key
+        busy = {key[1] for key in self.holders if key[0] == dtype.str}
+        index = 0
+        while index in busy:
+            index += 1
+        return (dtype.str, index)
+
+    def define(self, value: SSAValue, key: Optional[tuple], operands: list,
+               position: int) -> None:
+        """Record ``value``'s storage and retire operands dying here."""
+        aliased = set() if key is not None else {
+            ref for operand in operands for ref in self.refs.get(operand, ())
+        }
+        for operand in set(operands):
+            if self.last_use.get(operand) == position:
+                self._release(operand)
+        held = {key} if key is not None else aliased
+        if held and value in self.last_use:
+            self.refs[value] = held
+            for ref in held:
+                self.holders.setdefault(ref, set()).add(value)
+
+    def _release(self, value: SSAValue) -> None:
+        for key in self.refs.pop(value, ()):
+            holders = self.holders[key]
+            holders.discard(value)
+            if not holders:
+                del self.holders[key]
+
+
+def _known_operand(operand: tuple) -> bool:
+    """Whether an operand's dtype is statically known exactly."""
+    if operand[1]:
+        return isinstance(operand[2], np.dtype)
+    return operand[2] in ("pyint", "pyfloat", "pybool")
 
 
 def emit_megakernel(trace: MegakernelTrace, sample_args, *, rank: int = 0,
@@ -672,6 +777,8 @@ class _MegakernelEmitter:
         self.iter_mpi_messages = 0
         self.iter_halo_elements = 0
         self.iter_overlapped = 0
+        #: Scratch registers: (dtype str, index) -> {box shape: view name}.
+        self.scratch: dict[tuple, dict[tuple, str]] = {}
 
     # -- argument/slot resolution -------------------------------------------
     def _array_for(self, sym: _Sym, slot_arrays: list) -> np.ndarray:
@@ -740,6 +847,7 @@ class _MegakernelEmitter:
         return CompiledMegakernel(
             label, source, megakernel_signature(self.args),
             self.array_indices, namespace, traced=self.traced,
+            scratch_bytes=self._scratch_bytes(),
         )
 
     # -- one-iteration replay -------------------------------------------------
@@ -920,6 +1028,13 @@ class _MegakernelEmitter:
         The statement order mirrors ``CompiledNest._prepare_box`` exactly:
         loads and element-wise math in instruction order, store values
         prepared in place, every commit deferred past the last instruction.
+
+        Full-box values of known dtype live in scratch registers allocated
+        once per call (:class:`_BoxScratch`): a widening load becomes
+        ``_np.copyto(register, view)`` and an operator its ufunc with a
+        positional output, in place when an operand dies there.  The last
+        operation of a single-store nest writes straight into the stored
+        field region.  Every other value keeps its allocating statement.
         """
         loads, stores, regions = resolved
         actions.append((
@@ -933,21 +1048,28 @@ class _MegakernelEmitter:
         ))
         if not emit:
             return
+        instrs = nest.instrs
         nest_shape = tuple(
             len(range(lower, upper, step)) for lower, upper, step in box_dims
         )
-        force_copy = sum(1 for instr in nest.instrs if instr[0] == "store") > 1
+        force_copy = sum(1 for instr in instrs if instr[0] == "store") > 1
+        direct = None if force_copy else self._direct_store(
+            instrs, position_syms, regions, nest_shape
+        )
+        stored_directly = False
+        scratch = _BoxScratch(_last_uses(instrs))
         values: dict[SSAValue, tuple] = {}
         commits: list[str] = []
-        for position, instr in enumerate(nest.instrs):
+        for position, instr in enumerate(instrs):
             kind = instr[0]
+            operands = _operand_values(instr)
+            key = None
             if kind == "load":
                 array, slices, view_shape, _ = regions[position]
                 variable = self._var_for(position_syms[position])
                 source = f"{variable}[{_slice_src(slices)}]"
                 if array[slices].shape != view_shape:
                     source += f".reshape({view_shape!r})"
-                source = widen_expression(source, array.dtype)
                 dtype_kind = array.dtype.kind
                 if dtype_kind == "f":
                     dtype: Any = np.dtype(np.float64)
@@ -955,10 +1077,20 @@ class _MegakernelEmitter:
                     dtype = array.dtype
                 else:
                     dtype = np.dtype(np.int64)
-                name = self._new_var()
-                self.lines.append((1, f"{name} = {source}"))
+                widened = widen_expression(source, array.dtype)
+                if (widened != source and view_shape == nest_shape
+                        and np.can_cast(array.dtype, dtype, "same_kind")):
+                    key = scratch.output(dtype, operands, position)
+                    name = self._register(key, nest_shape)
+                    self.lines.append((1, f"_np.copyto({name}, {source})"))
+                else:
+                    # Unwidened loads stay views of the field: never outputs.
+                    name = self._new_var()
+                    self.lines.append((1, f"{name} = {widened}"))
                 values[instr[1]] = (name, True, dtype, view_shape)
             elif kind == "store":
+                if stored_directly:
+                    continue  # the producer already wrote the field region
                 array, slices, _, region_shape = regions[position]
                 ref = self._resolve_ref(instr[1], values, box_dims)
                 expr, is_array, dtype, shape = ref
@@ -992,33 +1124,47 @@ class _MegakernelEmitter:
                     commits.append(
                         f"{variable}[{_slice_src(slices)}] = {prepared}"
                     )
-            elif kind == "binary":
+            elif kind in ("binary", "unary"):
                 op_name = instr[-1]
-                a = self._resolve_ref(instr[3], values, box_dims)
-                b = self._resolve_ref(instr[4], values, box_dims)
-                expr = binary_expression(op_name, a[0], b[0])
-                if expr is None:
-                    slot = self._add_ctx(instr[2])
-                    expr = f"_ctx[{slot}]({a[0]}, {b[0]})"
-                shape = self._broadcast(a[3], b[3])
-                name = self._new_var()
-                self.lines.append((1, f"{name} = {expr}"))
-                values[instr[1]] = (
-                    name, a[1] or b[1], self._binary_dtype(op_name, a, b),
-                    shape,
-                )
-            elif kind == "unary":
-                op_name = instr[-1]
-                a = self._resolve_ref(instr[3], values, box_dims)
-                expr = unary_expression(op_name, a[0], a[1])
-                if expr is None:
-                    slot = self._add_ctx(instr[2])
-                    expr = f"_ctx[{slot}]({a[0]})"
-                name = self._new_var()
-                self.lines.append((1, f"{name} = {expr}"))
-                values[instr[1]] = (
-                    name, a[1], self._unary_dtype(op_name, a), a[3]
-                )
+                if kind == "binary":
+                    a = self._resolve_ref(instr[3], values, box_dims)
+                    b = self._resolve_ref(instr[4], values, box_dims)
+                    inputs = (a, b)
+                    shape = self._broadcast(a[3], b[3])
+                    dtype = self._binary_dtype(op_name, a, b)
+                    ufunc = BINARY_UFUNCS.get(op_name)
+                    expr = binary_expression(op_name, a[0], b[0])
+                    if expr is None:
+                        slot = self._add_ctx(instr[2])
+                        expr = f"_ctx[{slot}]({a[0]}, {b[0]})"
+                    is_array = a[1] or b[1]
+                else:
+                    a = self._resolve_ref(instr[3], values, box_dims)
+                    inputs = (a,)
+                    shape = a[3]
+                    dtype = self._unary_dtype(op_name, a)
+                    ufunc = UNARY_UFUNCS.get(op_name) if a[1] else None
+                    expr = unary_expression(op_name, a[0], a[1])
+                    if expr is None:
+                        slot = self._add_ctx(instr[2])
+                        expr = f"_ctx[{slot}]({a[0]})"
+                    is_array = a[1]
+                if (ufunc is not None and isinstance(dtype, np.dtype)
+                        and shape == nest_shape
+                        and all(_known_operand(ref) for ref in inputs)):
+                    args = ", ".join(ref[0] for ref in inputs)
+                    if (direct is not None and direct[0] == position
+                            and np.can_cast(dtype, direct[2], "same_kind")):
+                        name = direct[1]
+                        stored_directly = True
+                    else:
+                        key = scratch.output(dtype, operands, position)
+                        name = self._register(key, nest_shape)
+                    self.lines.append((1, ufunc_call(ufunc, args, name)))
+                else:
+                    name = self._new_var()
+                    self.lines.append((1, f"{name} = {expr}"))
+                values[instr[1]] = (name, is_array, dtype, shape)
             elif kind == "select":
                 cond = self._resolve_ref(instr[2], values, box_dims)
                 a = self._resolve_ref(instr[3], values, box_dims)
@@ -1036,8 +1182,46 @@ class _MegakernelEmitter:
                 values[instr[1]] = (name, True, dtype, shape)
             else:  # pragma: no cover - has_reduce nests are rejected earlier
                 raise CodegenError("unsupported nest instruction")
+            if kind != "store":
+                scratch.define(instr[1], key, operands, position)
         for line in commits:
             self.lines.append((1, line))
+
+    def _direct_store(self, instrs, position_syms, regions, nest_shape):
+        """``(producer position, target source, field dtype)`` or None.
+
+        A single-store nest whose store comes last and stores the value of
+        the instruction right before it may have that instruction write
+        straight into the field region: no load or other read follows the
+        write, so deferring the commit past the last instruction is moot.
+        The producer still has to qualify for a ufunc output (checked at
+        emission), and the region must be exactly the iteration space.
+        """
+        if len(instrs) < 2:
+            return None
+        store, producer = instrs[-1], instrs[-2]
+        if store[0] != "store" or store[1][0] != "arr" \
+                or producer[0] not in ("binary", "unary") \
+                or producer[1] is not store[1][1]:
+            return None
+        position = len(instrs) - 1
+        array, slices, _, region_shape = regions[position]
+        if region_shape != nest_shape or array[slices].shape != nest_shape:
+            return None
+        variable = self._var_for(position_syms[position])
+        return (position - 1, f"{variable}[{_slice_src(slices)}]", array.dtype)
+
+    def _register(self, key: tuple, shape: tuple) -> str:
+        """The prologue-built view of scratch register ``key`` in ``shape``."""
+        views = self.scratch.setdefault(key, {})
+        name = views.get(shape)
+        if name is None:
+            dtype = np.dtype(key[0])
+            name = f"_{dtype.kind}{dtype.itemsize}_{key[1]}"
+            if views:
+                name += f"s{len(views)}"
+            views[shape] = name
+        return name
 
     # -- operand references ---------------------------------------------------
     def _resolve_ref(self, ref: tuple, values: dict, box_dims) -> tuple:
@@ -1119,6 +1303,38 @@ class _MegakernelEmitter:
             return str(sym[1])
         return f"int(a{sym[1]})"
 
+    def _scratch_prologue(self) -> list[str]:
+        """Allocate every scratch register once per call, before the loop.
+
+        Per call, not per kernel: one cached kernel object may run on
+        several thread ranks or batched jobs at once.  A register used by
+        boxes of several shapes (overlap interior and strips) gets one flat
+        buffer sized to the largest box, with a view per shape.
+        """
+        lines = []
+        for key, views in self.scratch.items():
+            dtype = np.dtype(key[0])
+            if len(views) == 1:
+                ((shape, name),) = views.items()
+                lines.append(f"{name} = _np.empty({shape!r}, {dtype.name!r})")
+                continue
+            backing = f"_p{dtype.kind}{dtype.itemsize}_{key[1]}"
+            cells = max(math.prod(shape) for shape in views)
+            lines.append(f"{backing} = _np.empty({cells}, {dtype.name!r})")
+            for shape, name in views.items():
+                lines.append(
+                    f"{name} = {backing}[:{math.prod(shape)}]"
+                    f".reshape({shape!r})"
+                )
+        return lines
+
+    def _scratch_bytes(self) -> int:
+        """Bytes of scratch one call allocates in its prologue."""
+        return sum(
+            max(math.prod(shape) for shape in views) * np.dtype(key[0]).itemsize
+            for key, views in self.scratch.items()
+        )
+
     def _render(self, label: str) -> str:
         trace = self.trace
         indent = "    "
@@ -1148,6 +1364,7 @@ class _MegakernelEmitter:
         ):
             if per_iteration:
                 body.append(f"_stats.{field} += _trips * {per_iteration}")
+        body.extend(self._scratch_prologue())
         inner = [text for _level, text in self.lines]
         if loop is None:
             body.extend(inner)
@@ -1201,8 +1418,6 @@ def _scalar_marker(value) -> str:
 
 def _literal(value) -> str:
     """Python source for a scalar literal; repr round-trips floats exactly."""
-    import math
-
     if isinstance(value, float) and not math.isfinite(value):
         return f'float("{value!r}")'
     return repr(value)

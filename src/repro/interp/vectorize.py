@@ -282,6 +282,45 @@ _UNARY_SCALAR_EXPRESSIONS: dict[str, str] = {
 }
 
 
+#: The ufunc each operator template above calls, for emission with an
+#: explicit output buffer: ``ufunc(a, b, out)`` picks its inner loop from the
+#: inputs alone and only then casts into ``out``, so it computes exactly what
+#: the operator form does.  ``arith.powf`` is deliberately absent: ``a ** b``
+#: takes NumPy's scalar-exponent fast paths, which ``np.power`` does not.
+BINARY_UFUNCS: dict[str, str] = {
+    "arith.addf": "_np.add",
+    "arith.subf": "_np.subtract",
+    "arith.mulf": "_np.multiply",
+    "arith.divf": "_np.true_divide",
+    "arith.maximumf": "_np.maximum",
+    "arith.minimumf": "_np.minimum",
+    "arith.addi": "_np.add",
+    "arith.subi": "_np.subtract",
+    "arith.muli": "_np.multiply",
+    "arith.minsi": "_np.minimum",
+    "arith.maxsi": "_np.maximum",
+    **{
+        name: template[: template.index("(")]
+        for name, template in BINARY_EXPRESSIONS.items()
+        if name.startswith(("arith.cmpf:", "arith.cmpi:"))
+    },
+}
+
+#: Unary counterpart of :data:`BINARY_UFUNCS` (array operands only).
+UNARY_UFUNCS: dict[str, str] = {"arith.negf": "_np.negative"}
+
+
+def ufunc_call(ufunc: str, operands: str, out: str) -> str:
+    """Python source calling ``ufunc`` on ``operands`` into ``out``.
+
+    The output is positional except for ``maximum``/``minimum``, whose
+    third positional argument NumPy deprecates.
+    """
+    if ufunc in ("_np.maximum", "_np.minimum"):
+        return f"{ufunc}({operands}, out={out})"
+    return f"{ufunc}({operands}, {out})"
+
+
 def binary_expression(name: str, a: str, b: str) -> Optional[str]:
     """Python source applying binary op ``name``, or None (no template)."""
     template = BINARY_EXPRESSIONS.get(name)

@@ -35,6 +35,8 @@ class RankStats:
     #: (spans recorded against the worker's local monotonic clock; the
     #: parent's timeline merge re-aligns them), else None.
     trace: Optional[Any] = None
+    #: Whether the worker ran this rank through its megakernel.
+    engaged: bool = False
 
 
 def merge_comm_statistics(per_rank: Sequence[CommStatistics]) -> CommStatistics:

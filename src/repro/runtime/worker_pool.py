@@ -13,21 +13,25 @@ Protocol (all tuples over per-worker command queues and one shared result
 queue):
 
 * ``("program", key, payload)`` — cache a pickled program under ``key``;
-* ``("run", run_id, key, rank, size, function, backend, field_specs,
-  scalars, timeout, threads_per_rank, codegen, trace)`` — attach the
-  shared-memory fields and execute one rank (with an intra-rank thread team
-  when ``threads_per_rank > 1`` — the OpenMP level of the hybrid runtime;
-  ``codegen`` selects the worker-built megakernel fast path, cached on the
-  worker's unpickled program like the vectorized kernels; ``trace`` turns on
-  the rank-local span tracer, whose record ships back with the reply);
+* ``("run", run_id, key, rank, size, base, function, backend, field_specs,
+  scalars, timeout, threads_per_rank, codegen, trace, overlap)`` — attach
+  the shared-memory fields and execute one rank (with an intra-rank thread
+  team when ``threads_per_rank > 1`` — the OpenMP level of the hybrid
+  runtime; ``codegen`` selects the worker-built megakernel fast path, cached
+  on the worker's unpickled program like the vectorized kernels; ``trace``
+  turns on the rank-local span tracer, whose record ships back with the
+  reply; ``overlap`` is the plan's resolved ``overlap_halos`` flag, honoured
+  by both the interpreter and the megakernel exactly as in the thread
+  world);
 * ``("spmd", run_id, rank, size, payload, timeout)`` — run an arbitrary
   picklable ``fn(comm, *args)`` (tests and ad-hoc experiments);
 * ``("warmup", run_id, rank, threads_per_rank)`` — pre-spawn the worker's
   intra-rank thread team so the first hybrid run pays no spawn latency;
 * ``("stop",)`` — exit the worker loop.
 
-Workers answer ``("done", run_id, rank, result, comm_stats, trace_record)``
-or ``("error", run_id, rank, failure)`` where ``failure`` is a picklable
+Workers answer ``("done", run_id, rank, result, comm_stats, trace_record,
+engaged)`` — ``engaged`` says whether a ``"run"`` took the megakernel — or
+``("error", run_id, rank, failure)`` where ``failure`` is a picklable
 :class:`WorkerFailure` (rank, phase, exception type, traceback text).  A
 failed or timed-out run poisons the pool (peers may still be blocked in
 receives), so the pool is shut down and the next run transparently starts a
@@ -120,6 +124,7 @@ class PoolBatchJob:
     threads_per_rank: int = 1
     codegen: str = "planned"
     trace: str = "off"
+    overlap: bool = True
 
 
 @contextlib.contextmanager
@@ -169,7 +174,7 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
         if kind == "run":
             (_, run_id, key, rank, size, base, function_name, backend,
              field_specs, scalars, timeout, threads_per_rank, codegen,
-             trace) = command
+             trace, overlap) = command
             fields: list[SharedField] = []
             try:
                 program = programs[key]
@@ -200,23 +205,25 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                 if codegen != "planned" and kernel is not None:
                     megakernel = _worker_megakernel(
                         program, function_name, kernel, args, rank, size,
-                        forced=(codegen == "megakernel"),
+                        forced=(codegen == "megakernel"), overlap=overlap,
                         traced=tracer is not None,
                     )
                     if megakernel is not None and megakernel.matches(args):
                         candidate = ExecStatistics()
                         if megakernel.run(args, candidate, comm, tracer):
                             stats = candidate
+                engaged = stats is not None
                 if stats is None:
                     interpreter = Interpreter(
                         program.module, comm=comm, kernel=kernel,
-                        threads=threads_per_rank, tracer=tracer,
+                        threads=threads_per_rank, overlap_halos=overlap,
+                        tracer=tracer,
                     )
                     interpreter.call(function_name, *args)
                     stats = interpreter.stats
                 results.put(
                     ("done", run_id, rank, stats, comm.statistics,
-                     tracer.record() if tracer is not None else None)
+                     tracer.record() if tracer is not None else None, engaged)
                 )
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "run", err)))
@@ -232,7 +239,9 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                     rank, size, inboxes, run_id=run_id, timeout=timeout
                 )
                 value = fn(comm, *args)
-                results.put(("done", run_id, rank, value, comm.statistics, None))
+                results.put(
+                    ("done", run_id, rank, value, comm.statistics, None, False)
+                )
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "spmd", err)))
             continue
@@ -245,7 +254,7 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                     from ..interp.thread_team import get_thread_team
 
                     get_thread_team(threads_per_rank)
-                results.put(("done", run_id, rank, None, None, None))
+                results.put(("done", run_id, rank, None, None, None, False))
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(
                     ("error", run_id, rank, _failure(rank, "warmup", err))
@@ -254,7 +263,7 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
 
 
 def _worker_megakernel(program, function_name, kernel, args, rank, size, *,
-                       forced: bool, traced: bool = False):
+                       forced: bool, overlap: bool, traced: bool = False):
     """This worker's megakernel for one (function, rank, layout) — or None.
 
     Mirrors the parent-side session cache: built on the first run from the
@@ -273,16 +282,17 @@ def _worker_megakernel(program, function_name, kernel, args, rank, size, *,
         trace_program,
     )
 
-    key = (function_name, rank, size, megakernel_signature(args), traced)
+    key = (function_name, rank, size, megakernel_signature(args), overlap,
+           traced)
     cached = program._megakernel_cache.get(key)
     if cached is None:
         try:
             func_op = find_function(program.module, function_name)
             if func_op is None:
                 raise CodegenError(f"no function named {function_name!r}")
-            # Workers run the interpreter's default overlap discipline, so
-            # the megakernel is emitted with the same completion points.
-            trace = trace_program(func_op, kernel, overlap=True)
+            # The plan's overlap flag fixes the completion points, exactly
+            # as the session's own megakernel cache does.
+            trace = trace_program(func_op, kernel, overlap=overlap)
             cached = emit_megakernel(trace, args, rank=rank, size=size,
                                      traced=traced)
         except CodegenError as err:
@@ -302,6 +312,13 @@ def _worker_megakernel(program, function_name, kernel, args, rank, size, *,
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
+
+def _rank_stats(report: tuple) -> RankStats:
+    """One ``(rank, result, comm_stats, trace_record, engaged)`` report."""
+    rank, exec_stats, comm_stats, trace_record, engaged = report
+    return RankStats(rank, exec_stats, comm_stats, trace=trace_record,
+                     engaged=engaged)
+
 
 _PROGRAM_KEYS = itertools.count(1)
 
@@ -393,6 +410,7 @@ class WorkerPool:
         threads_per_rank: int = 1,
         codegen: str = "planned",
         trace: str = "off",
+        overlap: bool = True,
     ) -> list[RankStats]:
         """Execute one rank per worker against pre-scattered shared fields."""
         size = len(field_specs)
@@ -409,11 +427,10 @@ class WorkerPool:
                 self._commands[rank].put(
                     ("run", run_id, key, rank, size, 0, function_name, backend,
                      list(field_specs[rank]), scalars, timeout,
-                     threads_per_rank, codegen, trace)
+                     threads_per_rank, codegen, trace, overlap)
                 )
             reports = self._collect(run_id, size, timeout)
-        return [RankStats(rank, exec_stats, comm_stats, trace=trace_record)
-                for rank, exec_stats, comm_stats, trace_record in reports]
+        return [_rank_stats(report) for report in reports]
 
     def run_program_batch(
         self, jobs: Sequence["PoolBatchJob"], timeout: float
@@ -454,7 +471,8 @@ class WorkerPool:
                         ("run", run_id, key, rank, size, base,
                          job.function_name, job.backend,
                          list(job.field_specs[rank]), scalars, timeout,
-                         job.threads_per_rank, job.codegen, job.trace)
+                         job.threads_per_rank, job.codegen, job.trace,
+                         job.overlap)
                     )
                 run_ids.append(run_id)
                 sizes.append(size)
@@ -465,10 +483,7 @@ class WorkerPool:
             if isinstance(outcome, WorkerError):
                 results.append(outcome)
             else:
-                results.append([
-                    RankStats(rank, exec_stats, comm_stats, trace=trace_record)
-                    for rank, exec_stats, comm_stats, trace_record in outcome
-                ])
+                results.append([_rank_stats(report) for report in outcome])
         return results
 
     def _collect_batch(
@@ -525,7 +540,7 @@ class WorkerPool:
                     error = WorkerError(f"rank {rank} failed:\n{failure}")
                 _fail(index, error)
                 continue
-            reports[index].append((rank, message[3], message[4], message[5]))
+            reports[index].append((rank, *message[3:]))
             if len(reports[index]) == sizes[index]:
                 outcomes[index] = reports[index]
                 remaining.discard(index)
@@ -615,7 +630,7 @@ class WorkerPool:
                     error.failure = failure
                     raise error
                 raise WorkerError(f"rank {rank} failed:\n{failure}")
-            reports.append((rank, message[3], message[4], message[5]))
+            reports.append((rank, *message[3:]))
             seen.add(rank)
         return reports
 
@@ -712,6 +727,7 @@ class PoolManager:
         threads_per_rank: int = 1,
         codegen: str = "planned",
         trace: str = "off",
+        overlap: bool = True,
     ) -> list[RankStats]:
         """Run one rank per worker against pre-scattered shared-memory specs."""
         size = len(field_specs)
@@ -721,7 +737,7 @@ class PoolManager:
                 return pool.run_program(
                     program, function_name, backend, field_specs,
                     scalar_arguments, timeout, threads_per_rank, codegen,
-                    trace,
+                    trace, overlap,
                 )
             except _PoolReplacedError:
                 continue  # the pool was grown, replaced, or had dead workers

@@ -329,6 +329,7 @@ class Server:
                 threads_per_rank=config.threads_per_rank,
                 codegen=config.codegen if plan._codegen_active else "planned",
                 trace=config.trace,
+                overlap=plan.overlap,
             ))
         timeout = max(prepared.plan.config.timeout for _, prepared in pairs)
         try:

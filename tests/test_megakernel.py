@@ -109,6 +109,59 @@ def test_megakernel_matches_planned_bit_identically(runtime, threads_per_rank):
             assert plan.codegen_fallback is None
 
 
+@needs_processes
+@pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "blocking"])
+@pytest.mark.parametrize("codegen", ["planned", "megakernel"])
+def test_overlap_setting_means_the_same_in_both_worlds(codegen, overlap):
+    """overlap_halos: processes == threads, fields and both statistics."""
+    program = _compile_heat((2, 1))
+    runs = {}
+    for runtime in ("threads", "processes"):
+        fields = _heat_fields()
+        with Session(
+            runtime=runtime, codegen=codegen, overlap_halos=overlap
+        ) as session:
+            runs[runtime] = (fields, session.plan(program).run(fields, [5]))
+    (thread_fields, threads), (process_fields, processes) = (
+        runs["threads"], runs["processes"]
+    )
+    for mine, theirs in zip(process_fields, thread_fields):
+        assert np.array_equal(mine, theirs)
+    assert processes.statistics == threads.statistics
+    assert processes.comm_statistics == threads.comm_statistics
+    overlapped = [stats.halo_swaps_overlapped for stats in processes.statistics]
+    if overlap:
+        assert all(count > 0 for count in overlapped)
+    else:
+        assert overlapped == [0, 0]
+
+
+@needs_processes
+def test_process_workers_report_megakernel_engagement():
+    """megakernel.engaged counts process ranks exactly like thread ranks."""
+    program = _compile_heat((2, 1))
+    counts = {}
+    for runtime in ("threads", "processes"):
+        with Session(runtime=runtime) as session:
+            plan = session.plan(program)
+            for _ in range(2):
+                plan.run(_heat_fields(), [3])
+            counts[runtime] = (
+                session.metrics.get("megakernel.engaged"),
+                session.metrics.get("megakernel.fallback"),
+            )
+    assert counts["processes"] == counts["threads"] == (4, 0)
+
+    from repro.serve import Server
+
+    with Server(ExecutionConfig(runtime="processes"), max_batch=4) as server:
+        handles = [server.submit(program, _heat_fields(), [3]) for _ in range(2)]
+        for handle in handles:
+            handle.result(timeout=60.0)
+        assert server.session.metrics.get("megakernel.engaged") == 4
+        assert server.session.metrics.get("megakernel.fallback") == 0
+
+
 def test_megakernel_local_matches_planned():
     program = compile_stencil_program(build_jacobi_module(), cpu_target())
     data = np.zeros(10)
