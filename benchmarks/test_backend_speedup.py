@@ -489,3 +489,90 @@ def test_trace_overhead(benchmark):
         f"trace-off plan.run() is {1 / speedup:.3f}x the same run with its "
         "hook sites removed (must stay within 3%)"
     )
+
+
+def _ping_pong(comm, tag, round_trips, elements):
+    """Module-level (workers unpickle it): rank 0's mean round trip, in s."""
+    peer = 1 - comm.rank
+    outgoing = np.ones(elements, dtype=np.float32)
+    incoming = np.empty_like(outgoing)
+    start = time.perf_counter()
+    for _ in range(round_trips):
+        if comm.rank == 0:
+            comm.send(outgoing, peer, tag)
+            comm.recv(incoming, peer, tag)
+        else:
+            comm.recv(incoming, peer, tag)
+            comm.send(incoming, peer, tag)
+    return (time.perf_counter() - start) / round_trips
+
+
+@pytest.mark.benchmark(group="halo-transport")
+def test_halo_channel_latency(benchmark):
+    """A halo-tag round trip through the shared-memory channel must beat the
+    same round trip on a collective-range tag (the queue) >= 3x.
+
+    Both sides run in the same two worker processes through one
+    ``ProcessRankCommunicator`` each, with a 1 KiB float32 strip (a
+    ``wave2d-2proc`` halo message).  The gate is the median over
+    back-to-back pairs in alternating order (ABBA) of queue time / channel
+    time, so machine-speed drift between pairs cancels.
+    """
+    from repro.interp.mpi_runtime import _COLLECTIVE_TAG_BASE
+    from repro.runtime import processes_available
+    from repro.runtime.worker_pool import PoolManager
+
+    if not processes_available():
+        pytest.skip("process runtime unavailable on this platform")
+    pairs, round_trips, elements = 10, 200, 256
+    tags = {"channel": 0, "queue": _COLLECTIVE_TAG_BASE}
+    manager = PoolManager()
+    try:
+        def round_trip(side):
+            values, stats = manager.run_spmd(
+                _ping_pong, 2, (tags[side], round_trips, elements), 60.0)
+            channelled = sum(s.channel_messages for s in stats)
+            assert channelled == (2 * round_trips if side == "channel" else 0)
+            return values[0]
+
+        round_trip("channel")  # spawn the pool and warm both paths
+        round_trip("queue")
+        ratios, channel_times, queue_times = [], [], []
+        for pair in range(pairs):
+            timed = {}
+            order = ("channel", "queue") if pair % 2 == 0 else ("queue", "channel")
+            for side in order:
+                timed[side] = round_trip(side)
+            channel_times.append(timed["channel"])
+            queue_times.append(timed["queue"])
+            ratios.append(timed["queue"] / timed["channel"])
+    finally:
+        manager.shutdown()
+    channel_us = float(np.median(channel_times)) * 1e6
+    queue_us = float(np.median(queue_times)) * 1e6
+
+    def measured():
+        return channel_us, queue_us
+
+    benchmark(measured)
+    speedup = float(np.median(ratios))
+    attach_rows(
+        benchmark,
+        "halo-transport",
+        [
+            {
+                "kernel": "halo-channel-latency",
+                "bytes": elements * 4,
+                "ranks": 2,
+                "threads_per_rank": 1,
+                "channel_round_trip_us": channel_us,
+                "queue_round_trip_us": queue_us,
+                "speedup": speedup,
+            }
+        ],
+    )
+    assert speedup >= 3.0, (
+        f"a halo-channel round trip ({channel_us:.1f} us) is only "
+        f"{speedup:.2f}x faster than a queue round trip ({queue_us:.1f} us); "
+        "need >= 3x"
+    )

@@ -52,8 +52,9 @@ def main() -> None:
     summary = distribute_stencil(module, strategy)
     print(f"\nglobal domain {summary.global_shape} -> local core "
           f"{summary.local_domain.core_shape} + halo {summary.local_domain.halo_lower}; "
-          f"{summary.swaps_inserted} dmp.swap inserted, "
-          f"{summary.halo_elements_per_swap} halo elements per swap")
+          f"{summary.swaps_inserted} dmp.swap inserted "
+          f"({summary.swaps_elided} elided: core-only reads), "
+          f"{summary.halo_elements} halo elements over all swaps")
     show("dmp level (local domain + declarative halo exchange)", module)
     swaps = [op for op in module.walk() if isinstance(op, SwapOp)]
     for exchange in swaps[0].swaps:

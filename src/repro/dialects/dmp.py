@@ -95,6 +95,12 @@ class GridAttr(Attribute):
         return f"#dmp.grid<{self.print_parameters(None)}>"
 
 
+#: Halo messages are tagged ``dim * 2 + (1 if travelling up else 0)``
+#: (:meth:`ExchangeAttr.travel_tag`); rank grids of up to three dimensions
+#: use the tags below this bound.
+HALO_TAG_LIMIT = 6
+
+
 class ExchangeAttr(Attribute):
     """One halo exchange: a receive region, a send region and a neighbour offset.
 
@@ -155,6 +161,17 @@ class ExchangeAttr(Attribute):
 
     def is_empty(self) -> bool:
         return any(s == 0 for s in self.size)
+
+    def travel_tag(self, sending: bool) -> int:
+        """The message tag of this exchange's send (or receive).
+
+        It encodes the dimension and direction the message travels in, so
+        the send of one rank matches the receive of its neighbour.
+        """
+        dim = next((d for d, offset in enumerate(self.neighbor) if offset != 0), 0)
+        offset = self.neighbor[dim]
+        direction = offset if sending else -offset
+        return dim * 2 + (1 if direction > 0 else 0)
 
     def print_parameters(self, printer) -> str:
         def vec(values: Sequence[int]) -> str:

@@ -1237,13 +1237,6 @@ def _eval_vectorised(interp: Interpreter, op: Operation, local: dict) -> None:
 # dmp (high-level halo exchange execution)
 # ---------------------------------------------------------------------------
 
-def _travel_tag(exchange: dmp.ExchangeAttr, sending: bool) -> int:
-    dim = next((d for d, off in enumerate(exchange.neighbor) if off != 0), 0)
-    offset = exchange.neighbor[dim]
-    direction = offset if sending else -offset
-    return dim * 2 + (1 if direction > 0 else 0)
-
-
 def halo_transparent(op_name: str) -> bool:
     """Whether in-flight halo receives survive the named operation.
 
@@ -1282,7 +1275,7 @@ def swap_message_plan(op: "dmp.SwapOp", rank: int) -> SwapMessagePlan:
             continue
         send_offsets, send_sizes = exchange.send_region
         send_slice = tuple(slice(o, o + s) for o, s in zip(send_offsets, send_sizes))
-        sends.append((send_slice, neighbor, _travel_tag(exchange, True)))
+        sends.append((send_slice, neighbor, exchange.travel_tag(True)))
         recv_offsets, recv_sizes = exchange.recv_region
         recv_slice = tuple(slice(o, o + s) for o, s in zip(recv_offsets, recv_sizes))
         axis = next((d for d, off in enumerate(exchange.neighbor) if off != 0), 0)
@@ -1290,7 +1283,7 @@ def swap_message_plan(op: "dmp.SwapOp", rank: int) -> SwapMessagePlan:
             (
                 recv_slice,
                 neighbor,
-                _travel_tag(exchange, False),
+                exchange.travel_tag(False),
                 tuple(exchange.size),
                 exchange.element_count(),
                 axis,

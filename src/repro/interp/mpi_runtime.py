@@ -48,7 +48,8 @@ class CommStatistics:
     The ``bytes_elided`` / ``shared_blocks_reused`` pair describes the
     process runtime's shared-memory copy elision (fields scattered into and
     gathered out of the ``multiprocessing.shared_memory`` blocks directly,
-    blocks recycled across runs).  They are *excluded from equality* because
+    blocks recycled across runs), and ``channel_messages`` its shared-memory
+    halo channels.  They are *excluded from equality* because
     they measure a transport property of one runtime, not the program's
     communication behaviour — the thread and process worlds must still
     compare equal on everything the program itself caused.
@@ -63,6 +64,9 @@ class CommStatistics:
     bytes_elided: int = field(default=0, compare=False)
     #: Shared-memory blocks recycled from a previous run instead of allocated.
     shared_blocks_reused: int = field(default=0, compare=False)
+    #: Messages (of ``messages_sent``) that travelled through a
+    #: shared-memory halo channel instead of a queue (process runtime only).
+    channel_messages: int = field(default=0, compare=False)
 
     def reset(self) -> None:
         self.messages_sent = 0
@@ -71,6 +75,7 @@ class CommStatistics:
         self.barriers = 0
         self.bytes_elided = 0
         self.shared_blocks_reused = 0
+        self.channel_messages = 0
 
 
 class SimRequest:

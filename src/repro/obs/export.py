@@ -17,31 +17,6 @@ from typing import Dict, List, Optional
 from .tracer import TraceRecord
 
 
-def _exclusive_times(events) -> Dict[str, float]:
-    """Per-name exclusive seconds: inclusive minus immediate children.
-
-    *events* are ``(name, start, duration, depth)`` tuples from one track.
-    Spans on a track are properly nested (they come from one call stack),
-    so a sweep over start-ordered events with an interval stack suffices.
-    """
-    exclusive: Dict[str, float] = {}
-    stack: List[list] = []  # [name, end, child_seconds, start]
-    ordered = sorted(events, key=lambda event: (event[1], -event[3]))
-    for name, start, duration, _depth in ordered:
-        while stack and stack[-1][1] <= start + 1e-12:
-            done = stack.pop()
-            exclusive[done[0]] = exclusive.get(done[0], 0.0) + max(
-                0.0, (done[1] - done[3]) - done[2])
-        if stack:
-            stack[-1][2] += duration
-        stack.append([name, start + duration, 0.0, start])
-    while stack:
-        done = stack.pop()
-        exclusive[done[0]] = exclusive.get(done[0], 0.0) + max(
-            0.0, (done[1] - done[3]) - done[2])
-    return exclusive
-
-
 class TraceTimeline:
     """A multi-track timeline assembled from per-tracer records."""
 
@@ -118,21 +93,20 @@ class TraceTimeline:
     def profile(self) -> List[dict]:
         """Aggregate spans across tracks: count, inclusive, exclusive.
 
-        Timeline-mode records contribute exact exclusive times from their
-        event stream; summary-mode records (no events) contribute their
-        totals with exclusive = inclusive.  Sorted by inclusive seconds,
-        descending.
+        Both recording modes contribute their totals, whose self seconds
+        the tracer accumulated online, so a summary-mode record profiles
+        exactly like a timeline one and a wrapped ring loses nothing.
+        Sorted by inclusive seconds, descending.
         """
         rows: Dict[str, dict] = {}
         for record in self.records:
-            exclusive = _exclusive_times(record.events) if record.events else {}
-            for name, (count, seconds) in record.totals.items():
+            for name, (count, seconds, self_seconds) in record.totals.items():
                 row = rows.setdefault(
                     name, {"name": name, "count": 0, "inclusive": 0.0,
                            "exclusive": 0.0})
                 row["count"] += count
                 row["inclusive"] += seconds
-                row["exclusive"] += exclusive.get(name, seconds)
+                row["exclusive"] += max(0.0, self_seconds)
         return sorted(rows.values(), key=lambda row: -row["inclusive"])
 
     def profile_table(self, top: int = 20) -> str:

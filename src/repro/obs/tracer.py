@@ -7,6 +7,8 @@ team, the session lifecycle, or the compile phase.  Overhead discipline:
 * Trace *off* costs one attribute read per hook site (``tracer is None``);
   the megakernel emitter goes further and emits no bookkeeping at all.
 * Trace *summary* keeps only per-name totals — O(distinct names) memory.
+  Totals carry self (exclusive) seconds too: ``begin``/``end`` keep a
+  stack of child seconds, so nesting needs no event stream.
 * Trace *timeline* additionally appends one tuple per span into a
   ``collections.deque`` ring buffer, so memory stays bounded even for
   million-step runs.
@@ -46,8 +48,9 @@ class TraceRecord:
 
     ``events`` holds ``(name, start_perf, duration_s, depth)`` tuples in
     span-*end* order; ``depth`` is the nesting depth at which the span ran
-    (0 = top level).  ``totals`` maps span name to ``[count, seconds]`` and
-    is populated in both recording modes; ``counts`` holds plain counters.
+    (0 = top level).  ``totals`` maps span name to ``[count, seconds,
+    self_seconds]`` (self = minus the spans nested directly inside) and is
+    populated in both recording modes; ``counts`` holds plain counters.
     """
 
     track: str
@@ -61,7 +64,7 @@ class TraceRecord:
 class Tracer:
     """Record spans and counters for one track."""
 
-    __slots__ = ("mode", "track", "events", "totals", "counts", "_depth",
+    __slots__ = ("mode", "track", "events", "totals", "counts", "_children",
                  "wall_ref", "perf_ref")
 
     def __init__(self, mode: str = "timeline", *, track: str = "main",
@@ -74,7 +77,8 @@ class Tracer:
         self.events = deque(maxlen=maxlen) if mode == "timeline" else None
         self.totals: dict = {}
         self.counts: dict = {}
-        self._depth = 0
+        # One entry per open span: the seconds of its finished children.
+        self._children: list = []
         # Paired clock reference for cross-process alignment.
         self.wall_ref = time.time()
         self.perf_ref = time.perf_counter()
@@ -85,20 +89,24 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def begin(self, name: str) -> float:
-        self._depth += 1
+        self._children.append(0.0)
         return time.perf_counter()
 
     def end(self, name: str, start: float) -> None:
         duration = time.perf_counter() - start
-        self._depth -= 1
+        stack = self._children
+        self_seconds = duration - stack.pop()
+        if stack:
+            stack[-1] += duration
         total = self.totals.get(name)
         if total is None:
-            self.totals[name] = [1, duration]
+            self.totals[name] = [1, duration, self_seconds]
         else:
             total[0] += 1
             total[1] += duration
+            total[2] += self_seconds
         if self.events is not None:
-            self.events.append((name, start, duration, self._depth))
+            self.events.append((name, start, duration, len(stack)))
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -113,11 +121,11 @@ class Tracer:
         now = time.perf_counter()
         total = self.totals.get(name)
         if total is None:
-            self.totals[name] = [1, 0.0]
+            self.totals[name] = [1, 0.0, 0.0]
         else:
             total[0] += 1
         if self.events is not None:
-            self.events.append((name, now, 0.0, self._depth))
+            self.events.append((name, now, 0.0, len(self._children)))
 
     # ------------------------------------------------------------------
     # Counters.

@@ -10,6 +10,8 @@ measurable in wall-clock time rather than only modeled:
   the same :class:`~repro.interp.mpi_runtime.CommunicatorBase` interface (and
   therefore the same collective algorithms and tag discipline) as the thread
   world;
+* :mod:`repro.runtime.channels` — shared-memory rings and doorbells that
+  carry halo strips between the workers of one pool;
 * :mod:`repro.runtime.worker_pool` — a persistent worker pool: programs are
   compiled once in the parent, shipped once per worker, and cached worker-side
   so repeated runs amortize all startup;

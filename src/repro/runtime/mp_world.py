@@ -9,12 +9,14 @@ truly in parallel instead of time-slicing one GIL:
   scatters each rank's local buffer (core slab + halo) into a block, workers
   attach and compute in place, and the parent gathers straight out of the
   block — field contents never travel through a pickle;
-* **messages** travel through one ``multiprocessing.Queue`` inbox per rank.
-  :class:`ProcessRankCommunicator` keeps the exact mailbox discipline of the
-  thread world — matching by ``(source, tag)``, buffered sends, blocking
-  receives with a timeout — and implements the same
-  :class:`~repro.interp.mpi_runtime.CommunicatorBase` interface, so the
-  collective algorithms (and their tag space) are literally shared code;
+* **messages** travel through one ``multiprocessing.Queue`` inbox per rank,
+  except halo strips, which take the pool's shared-memory channels
+  (:mod:`repro.runtime.channels`).  :class:`ProcessRankCommunicator` keeps
+  the exact mailbox discipline of the thread world — matching by
+  ``(source, tag)``, buffered sends, blocking receives with a timeout — and
+  implements the same :class:`~repro.interp.mpi_runtime.CommunicatorBase`
+  interface, so the collective algorithms (and their tag space) are
+  literally shared code;
 * **statistics** are counted locally per rank (no cross-process locks) and
   merged deterministically by the parent (:mod:`repro.runtime.stats`).
 """
@@ -37,6 +39,7 @@ from ..interp.mpi_runtime import (
     MPIRuntimeError,
     _copy_into,
 )
+from .channels import ChannelEndpoint, is_halo_tag
 
 
 def default_context() -> multiprocessing.context.BaseContext:
@@ -191,6 +194,14 @@ class ProcessRankCommunicator(CommunicatorBase):
     other rank's inbox, only the owner gets from its own.  Every envelope
     carries the run id so a message stranded by a failed earlier run can never
     be matched by a later one.
+
+    With ``channels`` (this rank's :class:`~repro.runtime.channels.ChannelEndpoint`),
+    messages to other ranks on halo travel tags go through the shared-memory
+    rings instead (a self-send, on any tag, goes straight to the rank's own
+    mailbox).  Each channel message carries a per-destination sequence
+    number, and one that spills to the queue (ring full, payload too large)
+    is released to the mailbox in sequence order with the ring traffic, so
+    FIFO per ``(source, tag)`` holds across both transports.
     """
 
     def __init__(
@@ -200,6 +211,7 @@ class ProcessRankCommunicator(CommunicatorBase):
         inboxes: Sequence,
         run_id: int,
         timeout: float = 30.0,
+        channels: Optional[ChannelEndpoint] = None,
     ):
         if not 0 <= rank < size:
             raise MPIRuntimeError(f"rank {rank} outside world of size {size}")
@@ -211,6 +223,12 @@ class ProcessRankCommunicator(CommunicatorBase):
         self.statistics = CommStatistics()
         # (source, tag) -> deque of arrays already pulled out of the inbox.
         self._stash: dict[tuple[int, int], deque] = defaultdict(deque)
+        self._channels = channels
+        # Channel sequence numbers: next to send per destination, next to
+        # release per source, and early arrivals held per source by number.
+        self._send_seq = [0] * size
+        self._recv_seq = [0] * size
+        self._held: list[dict[int, tuple[int, np.ndarray]]] = [{} for _ in range(size)]
 
     @property
     def size(self) -> int:
@@ -220,10 +238,28 @@ class ProcessRankCommunicator(CommunicatorBase):
     def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
         if not 0 <= dest < self._size:
             raise MPIRuntimeError(f"send to invalid rank {dest}")
-        payload = np.array(data, copy=True)
-        self._inboxes[dest].put((self._run_id, self.rank, tag, payload))
+        data = np.asarray(data)
+        channels = self._channels
+        if dest == self.rank:
+            # A self-send lands straight in the mailbox, on any tag.
+            self._stash[(dest, tag)].append(np.array(data, copy=True))
+        elif channels is not None and is_halo_tag(tag):
+            seq = self._send_seq[dest]
+            self._send_seq[dest] = seq + 1
+            if channels.write(dest, self._run_id, tag, seq, data):
+                self.statistics.channel_messages += 1
+            else:
+                self._inboxes[dest].put(
+                    (self._run_id, self.rank, tag, np.array(data, copy=True),
+                     seq, channels.worker)
+                )
+                channels.spilled(dest)
+        else:
+            self._inboxes[dest].put(
+                (self._run_id, self.rank, tag, np.array(data, copy=True))
+            )
         self.statistics.messages_sent += 1
-        self.statistics.bytes_sent += payload.nbytes
+        self.statistics.bytes_sent += data.nbytes
 
     def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> MPRequest:
         self.send(data, dest, tag)
@@ -256,35 +292,79 @@ class ProcessRankCommunicator(CommunicatorBase):
         block: bool,
         timeout: Optional[float] = None,
     ) -> Optional[np.ndarray]:
-        """Pop the next message from ``(source, tag)``, draining the inbox.
+        """Pop the next message from ``(source, tag)``, draining the transports.
 
-        Non-matching envelopes are stashed for later receives; envelopes from
-        another run are dropped.  Blocking waits honour the world timeout.
+        Non-matching messages are stashed for later receives; messages from
+        another run are dropped.  Blocking waits honour the world timeout:
+        a channel tag sleeps on the rank's doorbell (or on the inbox while a
+        spilled message is owed), any other tag on the inbox.
         """
         wanted = (source, tag)
-        deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
         inbox = self._inboxes[self.rank]
+        channels = self._channels
+        on_channel = channels is not None and is_halo_tag(tag)
+        deadline = None
         while True:
             stashed = self._stash.get(wanted)
             if stashed:
                 return stashed.popleft()
-            if block:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise MPIRuntimeError(
-                        f"rank {self.rank} timed out waiting for a message "
-                        f"from rank {source} with tag {tag}"
-                    )
+            if on_channel:
+                channels.drain(self._deliver)
+                stashed = self._stash.get(wanted)
+                if stashed:
+                    return stashed.popleft()
+            if not block:
                 try:
-                    envelope = inbox.get(timeout=min(remaining, 0.2))
-                except queue_module.Empty:
-                    continue
-            else:
-                try:
-                    envelope = inbox.get_nowait()
+                    self._accept(inbox.get_nowait())
                 except queue_module.Empty:
                     return None
+                continue
+            if deadline is None:
+                deadline = time.monotonic() + (
+                    timeout if timeout is not None else self.timeout)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise MPIRuntimeError(
+                    f"rank {self.rank} timed out waiting for a message "
+                    f"from rank {source} with tag {tag}"
+                )
+            if on_channel and not channels.spills_owed():
+                # Doorbell tokens left by records already drained are
+                # consumed first (then the rings drained again), so the
+                # count stays bounded and a sleep ends only on a new ring.
+                if not channels.clear_doorbell():
+                    channels.wait(min(remaining, 0.2))
+                continue
+            try:
+                self._accept(inbox.get(timeout=min(remaining, 0.2)))
+            except queue_module.Empty:
+                continue
+
+    def _accept(self, envelope: tuple) -> None:
+        """File one inbox envelope (plain, or a spilled channel message)."""
+        if len(envelope) == 4:
             run_id, sender, sent_tag, payload = envelope
-            if run_id != self._run_id:
-                continue  # stranded by a failed earlier run: drop
-            self._stash[(sender, sent_tag)].append(payload)
+            if run_id == self._run_id:
+                self._stash[(sender, sent_tag)].append(payload)
+            return  # else stranded by a failed earlier run: drop
+        run_id, sender, sent_tag, payload, seq, sender_worker = envelope
+        self._channels.spill_seen(sender_worker)
+        self._deliver(sender, run_id, sent_tag, seq, payload)
+
+    def _deliver(self, source: int, run_id: int, tag: int, seq: int,
+                 payload: np.ndarray) -> None:
+        """Release channel messages to the mailbox in sequence order."""
+        if run_id != self._run_id:
+            return  # left in a ring or inbox by an earlier run: drop
+        held = self._held[source]
+        expected = self._recv_seq[source]
+        if seq == expected and not held:
+            self._stash[(source, tag)].append(payload)
+            self._recv_seq[source] = expected + 1
+            return
+        held[seq] = (tag, payload)
+        while expected in held:
+            sent_tag, message = held.pop(expected)
+            self._stash[(source, sent_tag)].append(message)
+            expected += 1
+        self._recv_seq[source] = expected

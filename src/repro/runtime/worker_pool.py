@@ -10,7 +10,8 @@ the wire and rebuilt lazily), and cached worker-side on the unpickled
 benchmark's timing loop, ship nothing and recompile nothing.
 
 Protocol (all tuples over per-worker command queues and one shared result
-queue):
+queue; halo strips between ranks travel through the pool's shared-memory
+channels, created before the fork so the workers inherit them):
 
 * ``("program", key, payload)`` — cache a pickled program under ``key``;
 * ``("run", run_id, key, rank, size, base, function, backend, field_specs,
@@ -57,6 +58,7 @@ import numpy as np
 from ..interp.interpreter import ExecStatistics, Interpreter
 from ..interp.mpi_runtime import CommStatistics
 from ..obs import Tracer
+from .channels import ChannelEndpoint, HaloChannels
 from .mp_world import (
     ProcessRankCommunicator,
     SharedField,
@@ -158,7 +160,8 @@ def _failure(rank: int, phase: str, err: BaseException) -> WorkerFailure:
     )
 
 
-def _worker_main(worker_index: int, commands, results, inboxes) -> None:
+def _worker_main(worker_index: int, commands, results, inboxes,
+                 channels: Optional[HaloChannels] = None) -> None:
     """The worker loop: cache programs, execute ranks, report statistics."""
     programs: dict[int, Any] = {}
     while True:
@@ -187,11 +190,12 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                 fields = [SharedField.attach(spec) for spec in field_specs]
                 # ``base`` partitions the pool across the jobs of one batched
                 # round: this rank's world is the ``size`` workers starting at
-                # ``base``, so its job-local inbox indices stay 0..size-1 and
-                # concurrent jobs can never cross-deliver.
+                # ``base``, so its job-local inbox and channel indices stay
+                # 0..size-1 and concurrent jobs can never cross-deliver.
                 comm = ProcessRankCommunicator(
                     rank, size, inboxes[base:base + size],
-                    run_id=run_id, timeout=timeout
+                    run_id=run_id, timeout=timeout,
+                    channels=_endpoint(channels, base, rank, size),
                 )
                 args = [field.array for field in fields] + list(scalars)
                 # Spans are recorded against this process's monotonic clock;
@@ -236,7 +240,8 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
             try:
                 fn, args = pickle.loads(payload)
                 comm = ProcessRankCommunicator(
-                    rank, size, inboxes, run_id=run_id, timeout=timeout
+                    rank, size, inboxes, run_id=run_id, timeout=timeout,
+                    channels=_endpoint(channels, 0, rank, size),
                 )
                 value = fn(comm, *args)
                 results.put(
@@ -260,6 +265,12 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                     ("error", run_id, rank, _failure(rank, "warmup", err))
                 )
             continue
+
+
+def _endpoint(channels: Optional[HaloChannels], base: int, rank: int,
+              size: int) -> Optional[ChannelEndpoint]:
+    """This rank's channel endpoint, or None when the pool has no channels."""
+    return None if channels is None else ChannelEndpoint(channels, base, rank, size)
 
 
 def _worker_megakernel(program, function_name, kernel, args, rank, size, *,
@@ -343,10 +354,14 @@ class WorkerPool:
         self._inboxes = [self._ctx.Queue() for _ in range(size)]
         self._results = self._ctx.Queue()
         self._commands = [self._ctx.Queue() for _ in range(size)]
+        # Created before the fork: the workers inherit the ring slab and the
+        # doorbell semaphores (None where channels are unsupported).
+        self._channels = HaloChannels.create(self._ctx, size)
         self._processes = [
             self._ctx.Process(
                 target=_worker_main,
-                args=(index, self._commands[index], self._results, self._inboxes),
+                args=(index, self._commands[index], self._results,
+                      self._inboxes, self._channels),
                 daemon=True,
                 name=f"repro-spmd-worker-{index}",
             )
@@ -669,6 +684,8 @@ class WorkerPool:
                 q.close()
             except Exception:  # pragma: no cover - queue already broken
                 pass
+        if self._channels is not None:
+            self._channels.close()
 
 
 class PoolManager:

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ...dialects.dmp import ExchangeAttr, GridAttr
 from ...dialects.stencil import StencilBoundsAttr
+
+
+#: Per-dimension ``(lower, upper)`` halo depths.
+HaloWidths = tuple[Sequence[int], Sequence[int]]
 
 
 class DecompositionError(Exception):
@@ -79,8 +83,16 @@ class DecompositionStrategy(ABC):
         """Split a global core domain into the (identical) per-rank local domain."""
 
     @abstractmethod
-    def exchanges(self, domain: LocalDomain) -> list[ExchangeAttr]:
-        """Halo exchange declarations for the local buffer of ``domain``."""
+    def exchanges(
+        self, domain: LocalDomain, widths: Optional[HaloWidths] = None
+    ) -> list[ExchangeAttr]:
+        """Halo exchange declarations for the local buffer of ``domain``.
+
+        ``widths`` is an optional ``(lower, upper)`` pair of per-dimension
+        halo depths actually read (a stencil footprint, at most the
+        domain's halo); None means the whole halo.  A strategy may ignore it
+        and return the full exchanges, which is always safe.
+        """
 
     def global_slab(
         self, global_shape: Sequence[int], rank: int
@@ -153,15 +165,25 @@ class GridSlicingStrategy(DecompositionStrategy):
             halo_upper=tuple(int(h) for h in halo_upper),
         )
 
-    def exchanges(self, domain: LocalDomain) -> list[ExchangeAttr]:
-        """One exchange per decomposed dimension and direction (no diagonals)."""
+    def exchanges(
+        self, domain: LocalDomain, widths: Optional[HaloWidths] = None
+    ) -> list[ExchangeAttr]:
+        """One exchange per decomposed dimension and direction (no diagonals).
+
+        With ``widths``, each exchange moves only that many layers: the
+        strip received is the one adjacent to the core and the strip sent is
+        the core's outermost layers, so offsets stay relative to the
+        buffer's real halo.  Zero-width directions get no exchange.
+        """
         rank = domain.rank
         grid_dims = len(self.grid_shape)
+        lower, upper = widths if widths is not None else (
+            domain.halo_lower, domain.halo_upper)
         exchanges: list[ExchangeAttr] = []
         for dim in range(min(grid_dims, rank)):
             if self.grid_shape[dim] == 1:
                 continue
-            for direction, width in ((-1, domain.halo_lower[dim]), (+1, domain.halo_upper[dim])):
+            for direction, width in ((-1, lower[dim]), (+1, upper[dim])):
                 if width == 0:
                     continue
                 offset = list(domain.halo_lower)  # start of the core region

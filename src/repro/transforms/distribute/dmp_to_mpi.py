@@ -30,16 +30,6 @@ from ...ir.pass_manager import ModulePass, PassRegistry
 from ...ir.types import MemRefType, i1, i32
 
 
-def _travel_tag(exchange: ExchangeAttr, sending: bool) -> int:
-    """A tag identifying the dimension and direction a message travels in."""
-    dim = next(
-        (d for d, offset in enumerate(exchange.neighbor) if offset != 0), 0
-    )
-    offset = exchange.neighbor[dim]
-    direction_of_travel = offset if sending else -offset
-    return dim * 2 + (1 if direction_of_travel > 0 else 0)
-
-
 class _SwapLowering:
     """Lowers a single dmp.swap operation."""
 
@@ -99,10 +89,10 @@ class _SwapLowering:
             send_unwrap = then_builder.insert(mpi.UnwrapMemrefOp(send_buffer))
             recv_unwrap = then_builder.insert(mpi.UnwrapMemrefOp(recv_buffer))
             send_tag = then_builder.insert(
-                arith.ConstantOp(IntegerAttr(_travel_tag(exchange, True), i32), i32)
+                arith.ConstantOp(IntegerAttr(exchange.travel_tag(True), i32), i32)
             ).result
             recv_tag = then_builder.insert(
-                arith.ConstantOp(IntegerAttr(_travel_tag(exchange, False), i32), i32)
+                arith.ConstantOp(IntegerAttr(exchange.travel_tag(False), i32), i32)
             ).result
             then_builder.insert(
                 mpi.IsendOp(

@@ -9,8 +9,15 @@ decomposition strategy it
 2. rewrites every ``!stencil.field`` (and dependent temp) type from the global
    bounds to the rank-local bounds (core at ``[0, n)`` plus halo),
 3. shrinks every ``stencil.store`` range to the local core, and
-4. inserts a ``dmp.swap`` in front of every ``stencil.load`` so neighbouring
-   ranks hold up-to-date halo data before each stencil computation.
+4. inserts a ``dmp.swap`` in front of every ``stencil.load`` whose consumers
+   read beyond the core, so neighbouring ranks hold up-to-date halo data
+   before each stencil computation.
+
+Swaps are footprint-exact: each one exchanges only the halo depth that the
+``stencil.apply`` operations consuming its load actually read (their access
+offsets), not the combined halo of the whole program.  A load read only at
+offset zero gets no swap at all.  A load consumed by anything other than an
+apply whose reads are all ``stencil.access`` keeps the full exchanges.
 
 The produced module is SPMD: every rank executes the same IR; which slab of
 the global domain a rank owns is decided by the runtime (data scatter/gather
@@ -24,13 +31,17 @@ from typing import Optional
 
 from ...dialects import func, stencil
 from ...dialects.builtin import UnrealizedConversionCastOp
-from ...dialects.dmp import SwapOp
+from ...dialects.dmp import ExchangeAttr, SwapOp
 from ...ir.builder import Builder
 from ...ir.context import MLContext
 from ...ir.core import Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.types import FunctionType, MemRefType
-from ..stencil.shape_inference import infer_shapes
+from ..stencil.shape_inference import (
+    infer_shapes,
+    required_input_bounds,
+    stored_output_bounds,
+)
 from .decomposition import DecompositionError, DecompositionStrategy, LocalDomain
 
 
@@ -41,7 +52,10 @@ class DistributionSummary:
     global_shape: tuple[int, ...]
     local_domain: LocalDomain
     swaps_inserted: int
-    halo_elements_per_swap: int
+    #: Loads that needed no swap (core-only reads, single-rank grids).
+    swaps_elided: int
+    #: Halo elements exchanged per rank, summed over the inserted swaps.
+    halo_elements: int
 
 
 def _collect_global_bounds(module: Operation) -> stencil.StencilBoundsAttr:
@@ -133,12 +147,16 @@ def distribute_stencil(
     _reset_temp_types(module)
     infer_shapes(module)
 
-    # 4. Insert a dmp.swap before every stencil.load.
+    # 4. Insert a dmp.swap before every stencil.load that reads its halo.
     grid = strategy.rank_grid()
-    exchanges = strategy.exchanges(domain)
-    swaps = 0
+    swaps = elided = elements = 0
     for op in list(module.walk()):
         if not isinstance(op, stencil.LoadOp):
+            continue
+        exchanges = strategy.exchanges(domain, _load_footprint(op, domain))
+        _check_exchanges(exchanges, domain)
+        if not exchanges:
+            elided += 1
             continue
         builder = Builder.before(op)
         cast = builder.insert(
@@ -148,13 +166,76 @@ def distribute_stencil(
         )
         builder.insert(SwapOp(cast.output, grid, exchanges))
         swaps += 1
+        elements += sum(exchange.element_count() for exchange in exchanges)
 
     return DistributionSummary(
         global_shape=tuple(global_shape),
         local_domain=domain,
         swaps_inserted=swaps,
-        halo_elements_per_swap=sum(e.element_count() for e in exchanges),
+        swaps_elided=elided,
+        halo_elements=elements,
     )
+
+
+def _load_footprint(
+    load: stencil.LoadOp, domain: LocalDomain
+) -> Optional[tuple[list[int], list[int]]]:
+    """Halo depth per dimension that the consumers of ``load`` read.
+
+    Returns ``(lower, upper)`` widths for the strategy, or None (the whole
+    halo) when a consumer is not an apply whose uses of the operand are all
+    ``stencil.access``, or when the apply's output bounds are unknown.  An
+    exchange's send and receive share one size, and the send of one rank's
+    lower exchange is the receive of its neighbour's upper one, so each
+    dimension exchanges ``max(lower, upper)`` layers in both directions
+    (:func:`_check_exchanges` rejects a halo too shallow on one side).
+    """
+    rank = domain.rank
+    depth = [0] * rank
+    for use in load.result.uses:
+        apply_op = use.operation
+        if not isinstance(apply_op, stencil.ApplyOp):
+            return None
+        region_arg = apply_op.region_args[use.index]
+        if any(not isinstance(arg_use.operation, stencil.AccessOp)
+               for arg_use in region_arg.uses):
+            return None
+        output_bounds = stored_output_bounds(apply_op)
+        if output_bounds is None:
+            return None
+        required = required_input_bounds(apply_op, output_bounds).get(use.index)
+        if required is None:
+            continue  # the operand is never read
+        for dim in range(rank):
+            depth[dim] = max(depth[dim], -required.lb[dim],
+                             required.ub[dim] - domain.core_shape[dim])
+    return depth, depth
+
+
+def _check_exchanges(exchanges: list[ExchangeAttr], domain: LocalDomain) -> None:
+    """Reject exchanges that the local buffer or the neighbours cannot match.
+
+    An exchange sends and receives the same number of layers, and one
+    rank's exchange towards a neighbour is matched by that neighbour's
+    exchange in the opposite direction.  A decomposed dimension whose halo
+    is one-sided (or deeper on one side) therefore cannot be expressed: the
+    exchange would receive outside the buffer or have no partner.
+    """
+    sizes = {exchange.neighbor: exchange.size for exchange in exchanges}
+    for exchange in exchanges:
+        partner = tuple(-offset for offset in exchange.neighbor)
+        inside = all(
+            0 <= start and start + size <= extent
+            for start, size, extent in zip(
+                exchange.offset, exchange.size, domain.buffer_shape)
+        )
+        if not inside or sizes.get(partner) != exchange.size:
+            raise DecompositionError(
+                f"halo exchange towards neighbour {list(exchange.neighbor)} "
+                f"cannot be matched: the local halo is lower "
+                f"{list(domain.halo_lower)}, upper {list(domain.halo_upper)}, "
+                f"and a dmp.exchange moves the same depth both ways"
+            )
 
 
 def _element_type_of(field: SSAValue):

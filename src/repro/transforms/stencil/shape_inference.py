@@ -25,7 +25,7 @@ class ShapeInferenceError(Exception):
     """Raised when bounds cannot be inferred or are inconsistent."""
 
 
-def _required_input_bounds(
+def required_input_bounds(
     apply_op: stencil.ApplyOp, output_bounds: stencil.StencilBoundsAttr
 ) -> dict[int, stencil.StencilBoundsAttr]:
     """Bounds each operand must cover, derived from the access offsets."""
@@ -45,23 +45,34 @@ def _required_input_bounds(
     return required
 
 
+def stored_output_bounds(
+    apply_op: stencil.ApplyOp,
+) -> stencil.StencilBoundsAttr | None:
+    """The common bounds of the stores consuming ``apply_op``'s results.
+
+    None when no result is stored directly.
+    """
+    output_bounds: stencil.StencilBoundsAttr | None = None
+    for result in apply_op.results:
+        for use in result.uses:
+            if isinstance(use.operation, stencil.StoreOp):
+                store_bounds = use.operation.bounds
+                if output_bounds is None:
+                    output_bounds = store_bounds
+                elif output_bounds != store_bounds:
+                    raise ShapeInferenceError(
+                        "results of one stencil.apply are stored with "
+                        "inconsistent bounds"
+                    )
+    return output_bounds
+
+
 def infer_shapes(module: Operation) -> int:
     """Infer and attach bounds to every stencil temp; return the number retyped."""
     retyped = 0
     for apply_op in stencil.apply_ops_of(module):
         # 1. Output bounds come from the consuming stores.
-        output_bounds: stencil.StencilBoundsAttr | None = None
-        for result in apply_op.results:
-            for use in result.uses:
-                if isinstance(use.operation, stencil.StoreOp):
-                    store_bounds = use.operation.bounds
-                    if output_bounds is None:
-                        output_bounds = store_bounds
-                    elif output_bounds != store_bounds:
-                        raise ShapeInferenceError(
-                            "results of one stencil.apply are stored with "
-                            "inconsistent bounds"
-                        )
+        output_bounds = stored_output_bounds(apply_op)
         if output_bounds is None:
             continue
         for result in apply_op.results:
@@ -72,7 +83,7 @@ def infer_shapes(module: Operation) -> int:
                 retyped += 1
 
         # 2. Input bounds are the output bounds grown by the stencil footprint.
-        required = _required_input_bounds(apply_op, output_bounds)
+        required = required_input_bounds(apply_op, output_bounds)
         for operand_index, bounds in required.items():
             operand = apply_op.operands[operand_index]
             operand_type = operand.type

@@ -113,6 +113,50 @@ class TestTracer:
         with pytest.raises(ValueError, match="unknown trace mode"):
             Tracer("verbose")
 
+    def test_summary_and_timeline_agree_on_exclusive_time(self, monkeypatch):
+        """A nested span sequence on a patched clock: summary totals carry
+        the same self seconds as the timeline's event stream."""
+        import repro.obs.tracer as tracer_module
+
+        def record(mode):
+            tracer = Tracer(mode, track="t")
+            ticks = iter([0.0, 1.0, 3.0, 4.0, 5.0, 6.0, 8.0, 9.0, 9.5, 10.0])
+            monkeypatch.setattr(tracer_module.time, "perf_counter",
+                                lambda: next(ticks))
+            outer = tracer.begin("outer")
+            inner = tracer.begin("inner")           # 1 -> 3
+            tracer.end("inner", inner)
+            second = tracer.begin("inner")          # 4 -> 8, holds 5 -> 6
+            leaf = tracer.begin("leaf")
+            tracer.end("leaf", leaf)
+            tracer.end("inner", second)
+            tail = tracer.begin("leaf")             # 9 -> 9.5
+            tracer.end("leaf", tail)
+            tracer.end("outer", outer)              # 0 -> 10
+            monkeypatch.undo()
+            timeline = TraceTimeline()
+            timeline.add(tracer.record())
+            return timeline, tracer.record()
+
+        expected = {"outer": 10.0 - 2.0 - 4.0 - 0.5, "inner": 2.0 + 3.0,
+                    "leaf": 1.0 + 0.5}
+        profiles = {}
+        for mode in ("summary", "timeline"):
+            timeline, _ = record(mode)
+            profiles[mode] = {row["name"]: row["exclusive"]
+                              for row in timeline.profile()}
+            assert profiles[mode] == pytest.approx(expected), mode
+            assert "inner" in timeline.profile_table()
+        _, rec = record("timeline")
+        # The event stream says the same: duration minus direct children.
+        from_events = {}
+        for name, start, duration, depth in rec.events:
+            children = sum(d for _, s, d, k in rec.events
+                           if k == depth + 1 and start <= s < start + duration)
+            from_events[name] = from_events.get(name, 0.0) + duration - children
+        assert from_events == pytest.approx(expected)
+        assert profiles["summary"] == profiles["timeline"]
+
 
 # ---------------------------------------------------------------------------
 # metrics registry vs the legacy dataclass merges
